@@ -214,25 +214,12 @@ func init() {
 	wire.RegisterBinaryPayloadVariant(tagReplyShard, Reply{},
 		func(v any) bool { return v.(Reply).ShardEpoch != 0 },
 		func(b *wire.Buffer, v any) error {
-			p := v.(Reply)
-			encReplyFields(b, p)
-			b.Uvarint(p.ShardEpoch)
-			b.Uvarint(p.Trace.TraceID)
-			b.Uvarint(p.Trace.Span)
+			encCachedReply(b, v.(Reply))
 			return nil
 		},
 		func(r *wire.Reader) (any, error) {
-			p, err := decReplyFields(r)
+			p, err := decCachedReply(r)
 			if err != nil {
-				return nil, err
-			}
-			if p.ShardEpoch, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			if p.Trace.Span, err = r.Uvarint(); err != nil {
 				return nil, err
 			}
 			if p.ShardEpoch == 0 {
@@ -268,10 +255,7 @@ func encMigrateChunk(b *wire.Buffer, ck MigrateChunk) {
 	for _, ce := range ck.Cache {
 		encInvocationID(b, ce.ID)
 		b.String(ce.Key)
-		encReplyFields(b, ce.Reply)
-		b.Uvarint(ce.Reply.ShardEpoch)
-		b.Uvarint(ce.Reply.Trace.TraceID)
-		b.Uvarint(ce.Reply.Trace.Span)
+		encCachedReply(b, ce.Reply)
 	}
 }
 
@@ -338,16 +322,7 @@ func decMigrateChunk(r *wire.Reader) (MigrateChunk, error) {
 			if ck.Cache[i].Key, err = r.String(); err != nil {
 				return ck, err
 			}
-			if ck.Cache[i].Reply, err = decReplyFields(r); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.ShardEpoch, err = r.Uvarint(); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.Trace.TraceID, err = r.Uvarint(); err != nil {
-				return ck, err
-			}
-			if ck.Cache[i].Reply.Trace.Span, err = r.Uvarint(); err != nil {
+			if ck.Cache[i].Reply, err = decCachedReply(r); err != nil {
 				return ck, err
 			}
 		}
@@ -442,6 +417,33 @@ func decReplyFields(r *wire.Reader) (Reply, error) {
 		return p, err
 	}
 	if p.Err, err = r.String(); err != nil {
+		return p, err
+	}
+	return p, nil
+}
+
+// encCachedReply encodes a full cached reply — base fields, shard epoch
+// and trace words, whatever their values — the form reply-cache entries
+// take in migration chunks and checkpoint envelopes.
+func encCachedReply(b *wire.Buffer, p Reply) {
+	encReplyFields(b, p)
+	b.Uvarint(p.ShardEpoch)
+	b.Uvarint(p.Trace.TraceID)
+	b.Uvarint(p.Trace.Span)
+}
+
+func decCachedReply(r *wire.Reader) (Reply, error) {
+	p, err := decReplyFields(r)
+	if err != nil {
+		return p, err
+	}
+	if p.ShardEpoch, err = r.Uvarint(); err != nil {
+		return p, err
+	}
+	if p.Trace.TraceID, err = r.Uvarint(); err != nil {
+		return p, err
+	}
+	if p.Trace.Span, err = r.Uvarint(); err != nil {
 		return p, err
 	}
 	return p, nil

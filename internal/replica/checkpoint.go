@@ -2,7 +2,11 @@ package replica
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
+	"sort"
 	"strconv"
 
 	"github.com/replobj/replobj/internal/adets"
@@ -55,7 +59,6 @@ type seenEntry struct {
 // rejoiner needs to resume as if it had delivered the whole prefix itself.
 type snapshotEnvelope struct {
 	Seq     uint64
-	State   []byte
 	UsedGob bool
 	Entries []seenEntry
 	Streams map[string]obs.StreamState
@@ -67,6 +70,164 @@ type snapshotEnvelope struct {
 	// checkpoint (nil on unsharded groups), so a rejoiner restored past a
 	// truncated EpochMethod delivery still adopts the donor's epoch.
 	Shard []byte
+	State []byte
+}
+
+// Envelope layout, in the wire package's primitive encodings:
+//
+//	envelope := byte(envelopeVersion) uvarint(Seq) bool(UsedGob)
+//	            uvarint(len(Entries)) entry*
+//	            uvarint(len(Streams)) stream*      (names strictly ascending)
+//	            bytes(Sched) bytes(Shard) bytes(State)
+//	entry    := InvocationID uvarint(SeenAt) string(Key) bool(Done)
+//	            [cached reply, only when Done]
+//	stream   := string(name) uvarint(Count) uvarint(Digest)
+//
+// The encoding is canonical — decoding then re-encoding is byte-stable —
+// and the state image comes last, so the envelope is built in one
+// exact-capacity allocation: the small head first, then head and image
+// appended once.
+const envelopeVersion = 1
+
+var (
+	errEnvelopeVersion = errors.New("replica: unknown checkpoint envelope version")
+	errEnvelopeStreams = errors.New("replica: checkpoint stream names not strictly ascending")
+)
+
+// minEntryLen / minStreamLen are the smallest encodings of an entry and a
+// stream: decoded counts are bounded by the bytes left to back them.
+const (
+	minEntryLen  = 5
+	minStreamLen = 3
+)
+
+// encode serializes the envelope canonically.
+func (env *snapshotEnvelope) encode() []byte {
+	head := wire.NewBuffer(64 + 64*len(env.Entries) + 32*len(env.Streams) + len(env.Sched) + len(env.Shard))
+	head.Byte(envelopeVersion)
+	head.Uvarint(env.Seq)
+	head.Bool(env.UsedGob)
+	head.Uvarint(uint64(len(env.Entries)))
+	for _, e := range env.Entries {
+		encInvocationID(head, e.ID)
+		head.Uvarint(e.SeenAt)
+		head.String(e.Key)
+		head.Bool(e.Done)
+		if e.Done {
+			encCachedReply(head, e.Reply)
+		}
+	}
+	names := make([]string, 0, len(env.Streams))
+	for name := range env.Streams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	head.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		st := env.Streams[name]
+		head.String(name)
+		head.Uvarint(st.Count)
+		head.Uvarint(st.Digest)
+	}
+	head.Bytes(env.Sched)
+	head.Bytes(env.Shard)
+	h := head.Encoded()
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(env.State)))
+	out := make([]byte, 0, len(h)+k+len(env.State))
+	out = append(out, h...)
+	out = append(out, n[:k]...)
+	return append(out, env.State...)
+}
+
+// decodeEnvelope parses an envelope written by encode, under the wire
+// codec's rules (minimal varints, lengths bounded by the remaining input,
+// no trailing bytes) plus the envelope's own canonical-form checks.
+func decodeEnvelope(data []byte) (*snapshotEnvelope, error) {
+	r := wire.NewReader(data)
+	v, err := r.Byte()
+	if err != nil {
+		return nil, err
+	}
+	if v != envelopeVersion {
+		return nil, errEnvelopeVersion
+	}
+	env := &snapshotEnvelope{}
+	if env.Seq, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if env.UsedGob, err = r.Bool(); err != nil {
+		return nil, err
+	}
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()/minEntryLen) {
+		return nil, fmt.Errorf("replica: %d checkpoint entries exceed remaining %d bytes", n, r.Remaining())
+	}
+	if n > 0 {
+		env.Entries = make([]seenEntry, n)
+	}
+	for i := range env.Entries {
+		e := &env.Entries[i]
+		if e.ID, err = decInvocationID(r); err != nil {
+			return nil, err
+		}
+		if e.SeenAt, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		if e.Key, err = r.String(); err != nil {
+			return nil, err
+		}
+		if e.Done, err = r.Bool(); err != nil {
+			return nil, err
+		}
+		if e.Done {
+			if e.Reply, err = decCachedReply(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if n, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()/minStreamLen) {
+		return nil, fmt.Errorf("replica: %d checkpoint streams exceed remaining %d bytes", n, r.Remaining())
+	}
+	env.Streams = make(map[string]obs.StreamState, n)
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		name, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && name <= prev {
+			return nil, errEnvelopeStreams
+		}
+		prev = name
+		var st obs.StreamState
+		if st.Count, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		if st.Digest, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		env.Streams[name] = st
+	}
+	if env.Sched, err = r.Bytes(); err != nil {
+		return nil, err
+	}
+	if env.Shard, err = r.Bytes(); err != nil {
+		return nil, err
+	}
+	if env.State, err = r.Bytes(); err != nil {
+		return nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("replica: %d trailing bytes after checkpoint envelope", r.Remaining())
+	}
+	return env, nil
 }
 
 // checkpoint runs at a checkpoint boundary (stream position seq, the
@@ -125,10 +286,10 @@ func (r *Replica) checkpoint(seq uint64) {
 	}
 	env := snapshotEnvelope{
 		Seq:     seq,
-		State:   state,
 		UsedGob: usedGob,
 		Entries: entries,
 		Streams: r.trace.ExportStreams(),
+		State:   state,
 	}
 	if ss, ok := r.sched.(adets.StatefulScheduler); ok {
 		sched, err := ss.MarshalSchedulerState()
@@ -140,11 +301,7 @@ func (r *Replica) checkpoint(seq uint64) {
 	if r.shard != nil {
 		env.Shard = r.shard.Current().Table.Encode()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return
-	}
-	data := buf.Bytes()
+	data := env.encode()
 	r.member.SetCheckpoint(seq, data)
 	r.checkpoints.Inc()
 	r.snapSize.Set(int64(len(data)))
@@ -169,15 +326,14 @@ func (r *Replica) snapshotState() (data []byte, usedGob bool, err error) {
 	}
 }
 
-func (r *Replica) restoreState(env *snapshotEnvelope) {
+func (r *Replica) restoreState(env *snapshotEnvelope) error {
 	if len(env.State) == 0 || r.state == nil {
-		return
+		return nil
 	}
 	if s, ok := r.state.(Snapshotter); ok && !env.UsedGob {
-		_ = s.Restore(env.State)
-		return
+		return s.Restore(env.State)
 	}
-	_ = gob.NewDecoder(bytes.NewReader(env.State)).Decode(r.state)
+	return gob.NewDecoder(bytes.NewReader(env.State)).Decode(r.state)
 }
 
 // evictStableLocked drops reply-cache entries that have aged out of the
@@ -241,12 +397,24 @@ func (r *Replica) seenEntriesLocked() []seenEntry {
 // the trace digests are reset to the donor's exact position. Checkpoints
 // are only taken fully drained, so the donor had no live threads — local
 // nested-invocation bookkeeping (necessarily stale) is cleared outright.
+//
+// A failed install leaves this replica running on stale state past d.Seq.
+// It is recorded as an "install/fail" event on the order stream, which no
+// healthy replica has at that position, so FirstTraceDivergence names the
+// replica and the position.
 func (r *Replica) installSnapshot(d gcs.Delivery) {
-	var env snapshotEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(d.Snapshot)).Decode(&env); err != nil {
+	env, err := decodeEnvelope(d.Snapshot)
+	var table shard.Table
+	if err == nil && r.shard != nil && len(env.Shard) > 0 {
+		table, err = shard.DecodeTable(env.Shard)
+	}
+	if err == nil {
+		err = r.restoreState(env)
+	}
+	if err != nil {
+		r.recordInstallFail(d.Seq)
 		return
 	}
-	r.restoreState(&env)
 	r.rt.Lock()
 	r.seen = make(map[wire.InvocationID]uint64, len(env.Entries))
 	r.seenOrder = r.seenOrder[:0]
@@ -283,10 +451,8 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 	if r.shard != nil && len(env.Shard) > 0 {
 		// Restore, not Install: the donor's table may be any number of
 		// epochs (and reshapes) ahead of this rejoiner's.
-		if t, err := shard.DecodeTable(env.Shard); err == nil {
-			if r.shard.Restore(t) == nil {
-				r.shardEpochG.Set(int64(t.Epoch))
-			}
+		if err = r.shard.Restore(table); err == nil {
+			r.shardEpochG.Set(int64(table.Epoch))
 		}
 	}
 	if len(env.Sched) > 0 {
@@ -294,10 +460,22 @@ func (r *Replica) installSnapshot(d gcs.Delivery) {
 			// The rejoiner adopts the donor's scheduler epoch/kind: the
 			// boundary submissions that produced them are in the truncated
 			// prefix and can never be replayed here.
-			_ = ss.UnmarshalSchedulerState(env.Sched)
+			if serr := ss.UnmarshalSchedulerState(env.Sched); serr != nil {
+				err = serr
+			}
 		}
 	}
 	r.trace.RestoreStreams(env.Streams)
+	if err != nil {
+		// Past the point of no return: record after the restored digests,
+		// at the first position past the donor's.
+		r.recordInstallFail(d.Seq)
+	}
+}
+
+// recordInstallFail marks a snapshot install that did not complete.
+func (r *Replica) recordInstallFail(seq uint64) {
+	r.trace.Record("order", obs.KindCheckpoint, "install/fail", strconv.FormatUint(seq, 10))
 }
 
 // CacheSize returns the number of cached replies (tests, bench reporter).

@@ -177,6 +177,15 @@ func putBuffer(b *Buffer) {
 // huge frame does not pin its allocation forever.
 const maxPooledBuf = 1 << 20
 
+// NewBuffer returns an empty Buffer with the given capacity, for package
+// codecs that build a binary image outside a message frame (the replica's
+// checkpoint envelope). The same primitive encodings apply.
+func NewBuffer(capacity int) *Buffer { return &Buffer{b: make([]byte, 0, capacity)} }
+
+// Encoded returns the bytes appended so far. The result aliases the
+// buffer's storage.
+func (b *Buffer) Encoded() []byte { return b.b }
+
 // Write implements io.Writer (gob fallback encodes straight into the
 // frame buffer).
 func (b *Buffer) Write(p []byte) (int, error) {
@@ -302,6 +311,12 @@ type Reader struct {
 	off    int
 	sawGob bool // a gob fallback was taken somewhere in this frame
 }
+
+// NewReader returns a Reader over data that enforces the frame rules
+// (minimal varints, bounded lengths, 0/1 bools) for a binary image decoded
+// outside a message frame. Trailing bytes are the caller's to check with
+// Remaining.
+func NewReader(data []byte) *Reader { return &Reader{b: data} }
 
 // Remaining returns the number of unread bytes left in the frame.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
